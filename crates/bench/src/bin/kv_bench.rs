@@ -31,7 +31,8 @@ use std::sync::Arc;
 
 use era_bench::table::Table;
 use era_kv::workload::{run_workload, KeyDist, KvMix, KvWorkloadSpec};
-use era_kv::{write_jsonl, KvConfig, KvRunRecord, KvStore};
+use era_kv::{KvConfig, KvRunRecord, KvStore};
+use era_obs::report::write_jsonl;
 use era_obs::{DumpStats, FlightRecorder, TraceLog};
 use era_smr::{ebr::Ebr, hp::Hp, qsbr::Qsbr, Smr};
 
@@ -295,7 +296,7 @@ fn main() {
         );
     }
     if let Some(path) = &opts.report {
-        match write_jsonl(path, &records) {
+        match write_jsonl(path, records.iter().map(KvRunRecord::to_json_line)) {
             Ok(()) => println!(
                 "wrote {} run record(s) to {}",
                 records.len(),

@@ -32,7 +32,8 @@ use era_bench::table::Table;
 use era_kv::workload::{KeyDist, KvMix};
 use era_kv::{KvConfig, KvStore};
 use era_net::proto::{read_frame, write_request, Request, Response};
-use era_net::{percentiles, write_jsonl, ErrorCode, NetConfig, NetRunRecord, NetServer};
+use era_net::{percentiles, ErrorCode, NetConfig, NetRunRecord, NetServer};
+use era_obs::report::write_jsonl;
 use era_smr::{ebr::Ebr, hp::Hp, qsbr::Qsbr, Smr};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -437,7 +438,7 @@ fn main() {
     ]);
     println!("{table}");
     if let Some(path) = &opts.report {
-        match write_jsonl(path, &[record]) {
+        match write_jsonl(path, [record.to_json_line()]) {
             Ok(()) => println!("wrote 1 run record to {}", path.display()),
             Err(e) => {
                 eprintln!("failed to write report {}: {e}", path.display());

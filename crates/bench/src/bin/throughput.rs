@@ -22,12 +22,13 @@
 
 use std::path::PathBuf;
 
-use era_bench::report::{write_jsonl, RunRecord};
+use era_bench::report::RunRecord;
 use era_bench::runner::{
     run_harris, run_harris_traced, run_michael, run_michael_traced, run_skiplist, run_vbr,
 };
 use era_bench::table::Table;
 use era_bench::workload::{KeyDist, Mix, WorkloadSpec};
+use era_obs::report::write_jsonl;
 use era_obs::Recorder;
 use era_smr::common::Smr as _;
 use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
@@ -210,7 +211,7 @@ fn main() {
          (see also the michael_vs_harris Criterion bench, experiment E6)."
     );
     for path in [report_path, json_out].into_iter().flatten() {
-        match write_jsonl(&path, &records) {
+        match write_jsonl(&path, records.iter().map(RunRecord::to_json_line)) {
             Ok(()) => println!("wrote {} run records to {}", records.len(), path.display()),
             Err(e) => {
                 eprintln!("failed to write report {}: {e}", path.display());

@@ -21,7 +21,7 @@ pub mod runner;
 pub mod table;
 pub mod workload;
 
-pub use report::{write_jsonl, RunRecord};
+pub use report::RunRecord;
 pub use runner::{
     run_harris, run_harris_traced, run_michael, run_michael_traced, run_skiplist, run_vbr,
     RunStats, StallReport,

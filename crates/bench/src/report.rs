@@ -40,9 +40,6 @@
 //! `StdRng`), so the op streams are identical across runs and machines;
 //! only the timing varies.
 
-use std::io::Write;
-use std::path::Path;
-
 use era_obs::report::{histogram_json, hook_counts_json, JsonObject};
 use era_obs::{HistogramSnapshot, Hook, Recorder};
 
@@ -151,19 +148,6 @@ impl RunRecord {
     }
 }
 
-/// Writes `records` as a JSON-lines file (one record per line).
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing `path`.
-pub fn write_jsonl(path: &Path, records: &[RunRecord]) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    for r in records {
-        writeln!(file, "{}", r.to_json_line())?;
-    }
-    file.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +209,8 @@ mod tests {
         let dir = std::env::temp_dir().join("era-bench-report-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("report.jsonl");
-        write_jsonl(&path, &[record.clone(), record]).unwrap();
+        era_obs::report::write_jsonl(&path, [record.to_json_line(), record.to_json_line()])
+            .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         std::fs::remove_file(&path).unwrap();

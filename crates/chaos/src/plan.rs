@@ -8,16 +8,16 @@
 //! clock readings and produces the same final statistics, which is what
 //! makes a chaos failure a *bug report* instead of an anecdote.
 //!
-//! The JSON wire format follows the workspace convention (hand-rolled
-//! emitter from [`era_obs::report`], no serialization dependency):
+//! The JSON wire format follows the workspace convention (written with
+//! [`era_obs::report`], read back with [`era_obs::json`], no
+//! serialization dependency):
 //!
 //! ```json
 //! {"seed":42,"ops":[{"kind":"die_pinned","at_op":100},
 //!                   {"kind":"stall","at_op":250,"for_ops":64}]}
 //! ```
 
-use std::fmt;
-
+use era_obs::json::{Json, JsonError};
 use era_obs::report::JsonObject;
 
 /// One injected fault, anchored to the decorator's global op clock.
@@ -266,63 +266,56 @@ impl FaultPlan {
             .finish()
     }
 
-    /// Parses a plan from its [`FaultPlan::to_json`] record.
+    /// Parses a plan from its [`FaultPlan::to_json`] record (any
+    /// whitespace and member order; an action's omitted `for_ops` or
+    /// `count` defaults to 1).
     ///
     /// # Errors
     ///
-    /// [`PlanParseError`] (with a byte offset) on malformed JSON, an
-    /// unknown field, or an unknown action kind.
-    pub fn from_json(text: &str) -> Result<FaultPlan, PlanParseError> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        let mut seed = 0u64;
-        let mut ops = Vec::new();
-        p.ws();
-        p.eat(b'{')?;
-        p.ws();
-        if p.peek() != Some(b'}') {
-            loop {
-                let key = p.string()?;
-                p.ws();
-                p.eat(b':')?;
-                p.ws();
-                match key.as_str() {
-                    "seed" => seed = p.u64()?,
-                    "ops" => {
-                        p.eat(b'[')?;
-                        p.ws();
-                        if p.peek() != Some(b']') {
-                            loop {
-                                ops.push(p.action()?);
-                                p.ws();
-                                if !p.comma_or(b']')? {
-                                    break;
-                                }
-                                p.ws();
-                            }
-                        } else {
-                            p.i += 1;
-                        }
-                    }
-                    _ => return Err(p.err("unknown plan field")),
+    /// [`JsonError`] (with a byte offset) on malformed JSON, an
+    /// unknown field, an unknown or missing action kind, or a number
+    /// that is not a `u64`.
+    pub fn from_json(text: &str) -> Result<FaultPlan, JsonError> {
+        let (mut seed, mut ops) = (0, Vec::new());
+        for (key, v) in Json::parse(text)?.as_object()? {
+            match key.as_str() {
+                "seed" => seed = v.as_u64()?,
+                "ops" => {
+                    ops = v
+                        .as_array()?
+                        .iter()
+                        .map(action_from_json)
+                        .collect::<Result<_, _>>()?
                 }
-                p.ws();
-                if !p.comma_or(b'}')? {
-                    break;
-                }
-                p.ws();
+                _ => return Err(v.err("unknown plan field")),
             }
-        } else {
-            p.i += 1;
-        }
-        p.ws();
-        if p.i != p.s.len() {
-            return Err(p.err("trailing input after plan"));
         }
         Ok(FaultPlan::new(seed, ops))
     }
+}
+
+fn action_from_json(v: &Json) -> Result<FaultAction, JsonError> {
+    let (mut kind, mut at_op, mut for_ops, mut count) = (None, 0, 1, 1);
+    for (key, f) in v.as_object()? {
+        match key.as_str() {
+            "kind" => kind = Some(f),
+            "at_op" => at_op = f.as_u64()?,
+            "for_ops" => for_ops = f.as_u64()?,
+            "count" => count = f.as_u64()?,
+            _ => return Err(f.err("unknown action field")),
+        }
+    }
+    let kind = kind.ok_or(v.err("action is missing its kind"))?;
+    Ok(match kind.as_str()? {
+        "die_pinned" => FaultAction::DiePinned { at_op },
+        "stall" => FaultAction::StallThread { at_op, for_ops },
+        "delay_flush" => FaultAction::DelayFlush { at_op, for_ops },
+        "fail_register" => FaultAction::FailRegister { at_op, count },
+        "exhaust_slots" => FaultAction::ExhaustSlots { at_op, for_ops },
+        "restart_storm" => FaultAction::RestartStorm { at_op, count },
+        "fail_alloc" => FaultAction::FailAlloc { at_op, count },
+        _ => return Err(kind.err("unknown action kind")),
+    })
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -331,151 +324,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A plan failed to parse: byte offset plus a static description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// Byte offset into the JSON text where parsing failed.
-    pub at: usize,
-    /// What went wrong.
-    pub msg: &'static str,
-}
-
-impl fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault plan parse error at byte {}: {}",
-            self.at, self.msg
-        )
-    }
-}
-
-impl std::error::Error for PlanParseError {}
-
-/// A minimal parser for exactly the shape [`FaultPlan::to_json`]
-/// emits (plus arbitrary whitespace and member order).
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &'static str) -> PlanParseError {
-        PlanParseError { at: self.i, msg }
-    }
-
-    fn ws(&mut self) {
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), PlanParseError> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err("unexpected character"))
-        }
-    }
-
-    /// Consumes either a comma (returns `true`) or `close` (returns
-    /// `false`).
-    fn comma_or(&mut self, close: u8) -> Result<bool, PlanParseError> {
-        match self.peek() {
-            Some(b',') => {
-                self.i += 1;
-                Ok(true)
-            }
-            Some(b) if b == close => {
-                self.i += 1;
-                Ok(false)
-            }
-            _ => Err(self.err("expected ',' or a closing bracket")),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, PlanParseError> {
-        let start = self.i;
-        let mut v: u64 = 0;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            v = v
-                .checked_mul(10)
-                .and_then(|v| v.checked_add((b - b'0') as u64))
-                .ok_or(PlanParseError {
-                    at: self.i,
-                    msg: "integer overflow",
-                })?;
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(self.err("expected an unsigned integer"));
-        }
-        Ok(v)
-    }
-
-    /// A plain string (plan fields never need escapes; reject them).
-    fn string(&mut self) -> Result<String, PlanParseError> {
-        self.eat(b'"')?;
-        let start = self.i;
-        loop {
-            match self.peek() {
-                Some(b'"') => break,
-                Some(b'\\') => return Err(self.err("escapes are not used in plan strings")),
-                Some(_) => self.i += 1,
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-        let out = std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|_| self.err("invalid utf-8"))?
-            .to_string();
-        self.i += 1;
-        Ok(out)
-    }
-
-    fn action(&mut self) -> Result<FaultAction, PlanParseError> {
-        self.eat(b'{')?;
-        self.ws();
-        let (mut kind, mut at_op, mut for_ops, mut count) = (None::<String>, 0u64, 1u64, 1u64);
-        loop {
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            match key.as_str() {
-                "kind" => kind = Some(self.string()?),
-                "at_op" => at_op = self.u64()?,
-                "for_ops" => for_ops = self.u64()?,
-                "count" => count = self.u64()?,
-                _ => return Err(self.err("unknown action field")),
-            }
-            self.ws();
-            if !self.comma_or(b'}')? {
-                break;
-            }
-            self.ws();
-        }
-        match kind.as_deref() {
-            Some("die_pinned") => Ok(FaultAction::DiePinned { at_op }),
-            Some("stall") => Ok(FaultAction::StallThread { at_op, for_ops }),
-            Some("delay_flush") => Ok(FaultAction::DelayFlush { at_op, for_ops }),
-            Some("fail_register") => Ok(FaultAction::FailRegister { at_op, count }),
-            Some("exhaust_slots") => Ok(FaultAction::ExhaustSlots { at_op, for_ops }),
-            Some("restart_storm") => Ok(FaultAction::RestartStorm { at_op, count }),
-            Some("fail_alloc") => Ok(FaultAction::FailAlloc { at_op, count }),
-            Some(_) => Err(self.err("unknown action kind")),
-            None => Err(self.err("action is missing its kind")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -572,6 +420,28 @@ mod tests {
                 .seed,
             7
         );
+    }
+
+    #[test]
+    fn json_keeps_full_range_u64_exact() {
+        let plan = FaultPlan::new(
+            u64::MAX,
+            vec![FaultAction::StallThread {
+                at_op: u64::MAX,
+                for_ops: (1 << 53) + 1,
+            }],
+        );
+        let json = plan.to_json();
+        assert_eq!(FaultPlan::from_json(&json).unwrap(), plan);
+        for bad in ["18446744073709551616", "-1", "1.5", "1e3"] {
+            let seed = format!("{{\"seed\":{bad}}}");
+            assert!(FaultPlan::from_json(&seed).is_err(), "seed {bad} must fail");
+            let at_op = format!("{{\"ops\":[{{\"kind\":\"die_pinned\",\"at_op\":{bad}}}]}}");
+            assert!(
+                FaultPlan::from_json(&at_op).is_err(),
+                "at_op {bad} must fail"
+            );
+        }
     }
 
     #[test]

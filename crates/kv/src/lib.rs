@@ -60,6 +60,6 @@ pub mod store;
 pub mod workload;
 
 pub use navigator::ShardHealth;
-pub use report::{write_jsonl, KvRunRecord};
+pub use report::KvRunRecord;
 pub use store::{KvConfig, KvCtx, KvError, KvStore, RetryPolicy, NAVIGATOR_THREAD};
 pub use workload::{run_workload, KeyDist, KvMix, KvRunStats, KvWorkloadSpec};

@@ -98,11 +98,13 @@ impl std::fmt::Display for ShardHealth {
 /// (the first attempt fires on entry). Retrying matters because a
 /// neutralized-and-restarted reader that stalls again re-pins the
 /// shard; the budget is re-enforced each time it is re-crossed. The
-/// interval bounds the sawtooth amplitude — garbage accrued between
-/// attempts is `retire_rate × interval × poll_period` on top of the
-/// hard budget — so it is kept short; its only job is to give the
-/// victim a few polls to act on the restart signal first.
-const NEUTRALIZE_RETRY_TICKS: u32 = 8;
+/// interval bounds the sawtooth amplitude, so it is kept short; its
+/// only job is to give the victim a poll to act on the restart signal
+/// first. A reader that re-pins at once pins the epoch it restarted
+/// in, so under EBR one attempt frees only what was retired before
+/// that epoch; the rest waits for the next attempt, and the footprint
+/// peaks near two intervals' worth of retires.
+const NEUTRALIZE_RETRY_TICKS: u32 = 2;
 
 /// Pure classification step with hysteresis: escalate when `retired`
 /// crosses a budget, de-escalate only once it falls below *half* the
@@ -158,7 +160,10 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// at whatever poll interval suits them (the workload driver uses
     /// a few hundred microseconds); it is cheap — a stats snapshot and
     /// a blame-counter scan per shard — and entirely read-side except
-    /// for the reaction itself.
+    /// for the reaction itself. Overlapping ticks are safe but can
+    /// count one transition twice or attempt early, so callers that
+    /// tick from several threads serialize them (as
+    /// [`crate::run_workload`] does).
     pub fn navigator_tick(&self) {
         // Budgets are read once per tick (not per shard) so one tick
         // applies a consistent envelope even while a scenario is
@@ -181,17 +186,21 @@ impl<'s, S: Smr> KvStore<'s, S> {
                 }
             }
             if next == ShardHealth::Violating {
-                // SAFETY(ordering): Relaxed — tick counter private to
-                // the single navigator thread.
+                // SAFETY(ordering): Relaxed — tick counter; a tick that
+                // overlaps another only moves an attempt earlier.
                 let ticks = sh.violating_ticks.fetch_add(1, Ordering::Relaxed);
                 if ticks % NEUTRALIZE_RETRY_TICKS == 0 {
-                    if let Some(slot) = self.blamed_slot(i) {
+                    if let Some(slot) = self.blamed_slot(i, ticks == 0) {
                         // SAFETY: the navigator contract (crate docs):
                         // every thread operating on this store polls
                         // `needs_restart` at operation boundaries before
                         // trusting pointers — KvStore's own ops do, and
                         // the stall harness's read loop does — so a
-                        // force-unpin is always recoverable.
+                        // force-unpin is always recoverable. Not yet
+                        // true of a write: `MichaelMap::find` does not
+                        // poll mid-operation, so blame that names a
+                        // writer preempted inside one is unsafe to act
+                        // on (ROADMAP, open item).
                         if unsafe { sh.smr.neutralize(slot) } {
                             // SAFETY(ordering): Relaxed — telemetry.
                             sh.neutralizations.fetch_add(1, Ordering::Relaxed);
@@ -206,9 +215,13 @@ impl<'s, S: Smr> KvStore<'s, S> {
     }
 
     /// The thread slot to neutralize on shard `i`: the slot whose blame
-    /// count grew the most since the last call (falling back to the
-    /// all-time maximum when no new blame accrued between ticks).
-    fn blamed_slot(&self, i: usize) -> Option<usize> {
+    /// count grew the most since the last call. With no new blame, the
+    /// attempt on entering `Violating` (`entry`) falls back to the
+    /// all-time maximum, and a retry names no one: no advance has
+    /// failed since the last attempt, so its victim has either
+    /// restarted or is not what holds the footprint, and cutting it
+    /// again would only hand it a second restart for one stall.
+    fn blamed_slot(&self, i: usize, entry: bool) -> Option<usize> {
         let sh = &self.shards[i];
         let now = sh.recorder.metrics().blame_counts();
         let mut last = sh.last_blame.lock().unwrap();
@@ -224,6 +237,9 @@ impl<'s, S: Smr> KvStore<'s, S> {
             .filter(|&(_, d)| d > 0)
             .map(|(slot, _)| slot);
         last.copy_from_slice(&now);
+        if !entry {
+            return delta_best;
+        }
         delta_best.or_else(|| sh.recorder.metrics().most_blamed().map(|(slot, _)| slot))
     }
 }

@@ -6,9 +6,6 @@
 //! summed across shards, and the footprint curve of the *stalled* shard
 //! (the interesting one) is pulled from its `Sample` events.
 
-use std::io::Write;
-use std::path::Path;
-
 use era_obs::report::{histogram_json, JsonObject};
 use era_obs::{HistogramSnapshot, Hook, TraceLog};
 use era_smr::Smr;
@@ -158,19 +155,6 @@ impl KvRunRecord {
     }
 }
 
-/// Writes `records` as a JSON-lines file (one record per line).
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing `path`.
-pub fn write_jsonl(path: &Path, records: &[KvRunRecord]) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    for r in records {
-        writeln!(file, "{}", r.to_json_line())?;
-    }
-    file.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +203,8 @@ mod tests {
         let dir = std::env::temp_dir().join("era-kv-report-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kv.jsonl");
-        write_jsonl(&path, &[record.clone(), record]).unwrap();
+        era_obs::report::write_jsonl(&path, [record.to_json_line(), record.to_json_line()])
+            .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("\"navigator\":false"));

@@ -6,6 +6,7 @@
 //! and the integration tests drive the exact same code path.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use era_obs::{Hook, SchemeId};
@@ -21,6 +22,9 @@ pub const SAMPLER_THREAD: u16 = u16::MAX - 1;
 
 /// How often the navigator and sampler threads poll.
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
+
+/// Worker operations between two checks of the navigator's last tick.
+const CATCH_UP_EVERY: u64 = 16;
 
 /// Key popularity distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,7 +218,8 @@ impl KvRunStats {
 ///
 /// * `navigator_on` — when true, a watchdog thread calls
 ///   [`KvStore::navigator_tick`] every few hundred microseconds for the
-///   duration of the run; when false the store never degrades (the
+///   duration of the run, and a worker ticks in its place when that
+///   thread runs late; when false the store never degrades (the
 ///   baseline that exhibits unbounded growth under a stall).
 /// * `stall` — when `Some(shard)`, one extra reader registers with that
 ///   shard's scheme, opens a protected region, and spins inside it for
@@ -244,16 +249,42 @@ pub fn run_workload<S: Smr>(
     }
 
     let done = AtomicBool::new(false);
+    // Workers start only once the watchdog has ticked and the stall
+    // reader holds its pin: spawned first is not scheduled first, and
+    // a watchdog or stall that starts after the workers' first few
+    // thousand ops covers only part of the run.
+    let watching = AtomicBool::new(!navigator_on);
+    let pinned = AtomicBool::new(stall.is_none());
     let restarts = AtomicU64::new(0);
     let total_ops = AtomicU64::new(0);
     let total_shed = AtomicU64::new(0);
     let started = Instant::now();
+    // The navigator thread waits for a CPU like any other: on a small
+    // host it can wake several milliseconds late, long enough for a
+    // stalled shard to blow far past its hard budget. A worker that
+    // finds the last tick older than two poll intervals ticks in its
+    // place. The lock serializes ticks; `last_tick_us` is time since
+    // `started`.
+    let ticking = Mutex::new(());
+    let last_tick_us = AtomicU64::new(0);
+    let tick = || {
+        store.navigator_tick();
+        // SAFETY(ordering): Relaxed — a stale read only delays or
+        // repeats a catch-up tick; ticks are serialized by `ticking`.
+        last_tick_us.store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+    };
 
     std::thread::scope(|s| {
         if navigator_on {
             s.spawn(|| {
                 while !done.load(Ordering::Acquire) {
-                    store.navigator_tick();
+                    {
+                        let _serial = ticking.lock().expect("a worker's navigator tick panicked");
+                        tick();
+                    }
+                    // SAFETY(ordering): Release — pairs with the
+                    // workers' Acquire wait; only the start matters.
+                    watching.store(true, Ordering::Release);
                     std::thread::sleep(POLL_INTERVAL);
                 }
             });
@@ -275,16 +306,27 @@ pub fn run_workload<S: Smr>(
         });
 
         if let Some(si) = stall {
-            let (done, restarts) = (&done, &restarts);
+            let (done, pinned, restarts) = (&done, &pinned, &restarts);
             s.spawn(move || {
                 let smr = store.scheme(si);
                 let mut ctx = smr.register().expect("stall reader registration");
                 while !done.load(Ordering::Acquire) {
                     smr.begin_op(&mut ctx);
+                    // SAFETY(ordering): Release — publishes the pin
+                    // above to the workers' Acquire wait.
+                    pinned.store(true, Ordering::Release);
+                    // The restart flag is polled once more after `done`
+                    // is seen, so a neutralization that lands while this
+                    // thread waits for a CPU at the end of the run is
+                    // still acknowledged.
                     let mut neutralized = false;
-                    while !done.load(Ordering::Relaxed) {
+                    loop {
+                        let finished = done.load(Ordering::Relaxed);
                         if smr.needs_restart(&mut ctx) {
                             neutralized = true;
+                            break;
+                        }
+                        if finished {
                             break;
                         }
                         std::hint::spin_loop();
@@ -301,9 +343,14 @@ pub fn run_workload<S: Smr>(
 
         let workers: Vec<_> = (0..spec.threads)
             .map(|t| {
+                let (watching, pinned) = (&watching, &pinned);
+                let (ticking, last_tick_us, tick) = (&ticking, &last_tick_us, &tick);
                 let (total_ops, total_shed) = (&total_ops, &total_shed);
                 let spec = *spec;
                 s.spawn(move || {
+                    while !watching.load(Ordering::Acquire) || !pinned.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     let mut ctx: KvCtx<S> = store.register().expect("worker registration");
                     let mut rng = StdRng::seed_from_u64(
                         spec.seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -332,6 +379,16 @@ pub fn run_workload<S: Smr>(
                             }
                         }
                         ops += 1;
+                        if navigator_on && ops.is_multiple_of(CATCH_UP_EVERY) {
+                            let late = started.elapsed().as_micros() as u64
+                                > last_tick_us.load(Ordering::Relaxed)
+                                    + 2 * POLL_INTERVAL.as_micros() as u64;
+                            if late {
+                                if let Ok(_serial) = ticking.try_lock() {
+                                    tick();
+                                }
+                            }
+                        }
                     }
                     store.flush(&mut ctx);
                     // SAFETY(ordering): Relaxed — run totals, read only

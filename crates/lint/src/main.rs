@@ -1,13 +1,13 @@
 //! era-lint CLI: `check`, `fixtures`, `rules`.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use era_lint::{
-    baseline, check_tree_with, render_table, run_fixtures, sarif, LintConfig, Rule,
+    baseline, check_tree_with, render_table, run_fixtures, sarif, LintConfig, LintRecord, Rule,
     DEFAULT_BASELINE,
 };
+use era_obs::report::write_jsonl;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -139,20 +139,14 @@ fn cmd_check(args: &[String]) -> ExitCode {
         }
     };
     if let Some(path) = report_path {
-        let mut body = String::new();
-        for r in &report.records {
-            body.push_str(&r.to_json());
-            body.push('\n');
-        }
-        if let Err(e) = std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes()))
-        {
+        if let Err(e) = write_jsonl(&path, report.records.iter().map(LintRecord::to_json)) {
             eprintln!("era-lint: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
     if let Some(path) = sarif_path {
         let doc = sarif::to_sarif(&report.records);
-        if let Err(e) = std::fs::File::create(&path).and_then(|mut f| f.write_all(doc.as_bytes())) {
+        if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("era-lint: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }

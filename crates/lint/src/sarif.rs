@@ -3,8 +3,9 @@
 //! GitHub code scanning ingests SARIF, so CI uploads the workspace
 //! lint report in this format and findings surface as PR annotations.
 //! Hand-rolled like every other serializer in the repo (era-bench's
-//! `RunRecord`, era-obs's dump headers): one canonical `runs[0]` with
-//! the full rule catalog in `tool.driver.rules` and one `result` per
+//! `RunRecord`, era-obs's dump headers), with strings escaped by
+//! era-obs's [`json_string`]: one canonical `runs[0]` with the full
+//! rule catalog in `tool.driver.rules` and one `result` per
 //! [`LintRecord`].
 //!
 //! Level mapping: `deny → error`, `allow → warning`, `waived → note` +
@@ -12,8 +13,8 @@
 //! external mechanism), which is how SARIF consumers are told "known,
 //! justified, not a regression".
 //!
-//! [`shape_check`] is a miniature JSON parser (again in-house — the
-//! container has no serde) that validates the emitted document against
+//! [`shape_check`] reads the document back with the workspace's one
+//! JSON reader ([`era_obs::json`]; no serde) and validates it against
 //! the 2.1 shape CI relies on: `version`, `runs[].tool.driver.name`,
 //! `runs[].results[].ruleId/message.text/locations[].physicalLocation`
 //! with an `artifactLocation.uri` and a positive `region.startLine`.
@@ -22,7 +23,10 @@
 
 use std::fmt::Write as _;
 
-use crate::report::{esc, LintRecord};
+use era_obs::json::Json;
+use era_obs::report::json_string;
+
+use crate::report::LintRecord;
 use crate::rules::Rule;
 
 /// Renders records as a complete SARIF 2.1.0 document (pretty-printed,
@@ -40,17 +44,17 @@ pub fn to_sarif(records: &[LintRecord]) -> String {
     s.push_str("          \"name\": \"era-lint\",\n");
     let _ = writeln!(
         s,
-        "          \"version\": \"{}\",",
-        esc(env!("CARGO_PKG_VERSION"))
+        "          \"version\": {},",
+        json_string(env!("CARGO_PKG_VERSION"))
     );
     s.push_str("          \"informationUri\": \"https://github.com/era-smr/era\",\n");
     s.push_str("          \"rules\": [\n");
     for (i, rule) in Rule::ALL.iter().enumerate() {
         let _ = write!(
             s,
-            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-            esc(rule.id()),
-            esc(rule.describe())
+            "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}}}",
+            json_string(rule.id()),
+            json_string(rule.describe())
         );
         s.push_str(if i + 1 < Rule::ALL.len() { ",\n" } else { "\n" });
     }
@@ -63,12 +67,12 @@ pub fn to_sarif(records: &[LintRecord]) -> String {
             _ => "warning",
         };
         s.push_str("        {\n");
-        let _ = writeln!(s, "          \"ruleId\": \"{}\",", esc(r.rule));
+        let _ = writeln!(s, "          \"ruleId\": {},", json_string(r.rule));
         let _ = writeln!(s, "          \"level\": \"{level}\",");
         let _ = writeln!(
             s,
-            "          \"message\": {{\"text\": \"{}\"}},",
-            esc(&r.message)
+            "          \"message\": {{\"text\": {}}},",
+            json_string(&r.message)
         );
         if r.level == "waived" {
             s.push_str("          \"suppressions\": [{\"kind\": \"external\"}],\n");
@@ -77,8 +81,8 @@ pub fn to_sarif(records: &[LintRecord]) -> String {
         s.push_str("              \"physicalLocation\": {\n");
         let _ = writeln!(
             s,
-            "                \"artifactLocation\": {{\"uri\": \"{}\"}},",
-            esc(&r.path)
+            "                \"artifactLocation\": {{\"uri\": {}}},",
+            json_string(&r.path)
         );
         let _ = writeln!(
             s,
@@ -103,67 +107,44 @@ pub fn to_sarif(records: &[LintRecord]) -> String {
 /// least one location with `physicalLocation.artifactLocation.uri` and
 /// an integer `region.startLine >= 1`.
 pub fn shape_check(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
-    if doc.get("version").and_then(Json::as_str) != Some("2.1.0") {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    if str_at(&doc, &["version"]) != Some("2.1.0") {
         return Err("version must be the string \"2.1.0\"".into());
     }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_array)
-        .ok_or("runs must be an array")?;
+    let runs = array_at(&doc, &["runs"]).ok_or("runs must be an array")?;
     if runs.is_empty() {
         return Err("runs must be non-empty".into());
     }
     for (ri, run) in runs.iter().enumerate() {
-        let driver = run
-            .get("tool")
-            .and_then(|t| t.get("driver"))
-            .ok_or_else(|| format!("runs[{ri}] missing tool.driver"))?;
-        if driver.get("name").and_then(Json::as_str).is_none() {
+        if lookup(run, &["tool", "driver"]).is_none() {
+            return Err(format!("runs[{ri}] missing tool.driver"));
+        }
+        if str_at(run, &["tool", "driver", "name"]).is_none() {
             return Err(format!("runs[{ri}].tool.driver.name must be a string"));
         }
-        let results = run
-            .get("results")
-            .and_then(Json::as_array)
+        let results = array_at(run, &["results"])
             .ok_or_else(|| format!("runs[{ri}].results must be an array"))?;
         for (i, res) in results.iter().enumerate() {
             let at = || format!("runs[{ri}].results[{i}]");
-            if res.get("ruleId").and_then(Json::as_str).is_none() {
+            if str_at(res, &["ruleId"]).is_none() {
                 return Err(format!("{} missing string ruleId", at()));
             }
-            if res
-                .get("message")
-                .and_then(|m| m.get("text"))
-                .and_then(Json::as_str)
-                .is_none()
-            {
+            if str_at(res, &["message", "text"]).is_none() {
                 return Err(format!("{} missing message.text", at()));
             }
-            let locs = res
-                .get("locations")
-                .and_then(Json::as_array)
+            let locs = array_at(res, &["locations"])
                 .ok_or_else(|| format!("{} missing locations array", at()))?;
             if locs.is_empty() {
                 return Err(format!("{} has no locations", at()));
             }
             for loc in locs {
-                let phys = loc
-                    .get("physicalLocation")
+                let phys = lookup(loc, &["physicalLocation"])
                     .ok_or_else(|| format!("{} location missing physicalLocation", at()))?;
-                if phys
-                    .get("artifactLocation")
-                    .and_then(|a| a.get("uri"))
-                    .and_then(Json::as_str)
-                    .is_none()
-                {
+                if str_at(phys, &["artifactLocation", "uri"]).is_none() {
                     return Err(format!("{} missing artifactLocation.uri", at()));
                 }
-                match phys
-                    .get("region")
-                    .and_then(|r| r.get("startLine"))
-                    .and_then(Json::as_num)
-                {
-                    Some(n) if n >= 1.0 => {}
+                match lookup(phys, &["region", "startLine"]).map(Json::as_u64) {
+                    Some(Ok(n)) if n >= 1 => {}
                     _ => return Err(format!("{} region.startLine must be >= 1", at())),
                 }
             }
@@ -172,206 +153,17 @@ pub fn shape_check(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Minimal JSON value for the shape check. Object keys keep last-wins
-/// semantics; numbers are f64 (ample for line numbers).
-enum Json {
-    Null,
-    // The shape check never reads the bool's value, but the parser
-    // must still accept the type.
-    Bool(#[allow(dead_code)] bool),
-    Num(f64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
+/// The value at the end of a path of object keys.
+fn lookup<'a>(v: &'a Json, path: &[&str]) -> Option<&'a Json> {
+    path.iter().try_fold(v, |v, key| v.get(key))
 }
 
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let b = text.as_bytes();
-        let mut i = 0;
-        let v = parse_value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing bytes at offset {i}"));
-        }
-        Ok(v)
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(kvs) => kvs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(v) => Some(v),
-            _ => None,
-        }
-    }
+fn str_at<'a>(v: &'a Json, path: &[&str]) -> Option<&'a str> {
+    lookup(v, path)?.as_str().ok()
 }
 
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => parse_object(b, i),
-        Some(b'[') => parse_array(b, i),
-        Some(b'"') => parse_string(b, i).map(Json::Str),
-        Some(b't') => parse_lit(b, i, "true").map(|_| Json::Bool(true)),
-        Some(b'f') => parse_lit(b, i, "false").map(|_| Json::Bool(false)),
-        Some(b'n') => parse_lit(b, i, "null").map(|_| Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, i),
-        _ => Err(format!("unexpected byte at offset {i}", i = *i)),
-    }
-}
-
-fn parse_lit(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at offset {i}", i = *i))
-    }
-}
-
-fn parse_number(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    while *i < b.len()
-        && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *i += 1;
-    }
-    std::str::from_utf8(&b[start..*i])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at offset {start}"))
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*i], b'"');
-    *i += 1;
-    let mut out = String::new();
-    while *i < b.len() {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*i + 1..*i + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("bad \\u escape")?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *i += 4;
-                    }
-                    _ => return Err("bad escape".into()),
-                }
-                *i += 1;
-            }
-            c => {
-                // Copy the full UTF-8 sequence starting here.
-                let s = std::str::from_utf8(&b[*i..]).map_err(|_| "bad utf-8")?;
-                let ch = s.chars().next().ok_or("truncated string")?;
-                out.push(ch);
-                *i += ch.len_utf8();
-                let _ = c;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_array(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    *i += 1; // '['
-    let mut out = Vec::new();
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return Ok(Json::Array(out));
-    }
-    loop {
-        out.push(parse_value(b, i)?);
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(Json::Array(out));
-            }
-            _ => return Err(format!("expected , or ] at offset {i}", i = *i)),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    *i += 1; // '{'
-    let mut out = Vec::new();
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return Ok(Json::Object(out));
-    }
-    loop {
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b'"') {
-            return Err(format!("expected key string at offset {i}", i = *i));
-        }
-        let key = parse_string(b, i)?;
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return Err(format!("expected : at offset {i}", i = *i));
-        }
-        *i += 1;
-        let val = parse_value(b, i)?;
-        out.push((key, val));
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(Json::Object(out));
-            }
-            _ => return Err(format!("expected , or }} at offset {i}", i = *i)),
-        }
-    }
+fn array_at<'a>(v: &'a Json, path: &[&str]) -> Option<&'a [Json]> {
+    lookup(v, path)?.as_array().ok()
 }
 
 #[cfg(test)]
@@ -420,15 +212,5 @@ mod tests {
                    \"results\": [{\"ruleId\": \"r\", \"message\": {\"text\": \"m\"}}]}]}";
         let err = shape_check(bad).unwrap_err();
         assert!(err.contains("locations"), "{err}");
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let doc = Json::parse("{\"a\": [1, {\"b\": \"x\\n\\u0041\"}, true, null]}").unwrap();
-        let arr = doc.get("a").and_then(Json::as_array).unwrap();
-        assert_eq!(arr.len(), 4);
-        assert_eq!(arr[1].get("b").and_then(Json::as_str), Some("x\nA"));
-        assert!(Json::parse("{\"a\": 1,}").is_err(), "trailing comma");
-        assert!(Json::parse("[1 2]").is_err());
     }
 }

@@ -24,7 +24,8 @@
 //!   instrumentation compiles away entirely.
 //! - **Reports** ([`report`]): a dependency-free JSON-lines writer for
 //!   `BENCH_*.jsonl` artifacts — throughput, footprint curves, latency
-//!   histograms, hook counts.
+//!   histograms, hook counts — and [`json`], the one reader every
+//!   replay record and report is parsed back with.
 //! - **Flight recorder** ([`flight`], [`dump`]): a crash-safe layer
 //!   that drains the rings into retained buffers, snapshots the last
 //!   N seconds (plus metrics and scheme counters) into a compact
@@ -45,6 +46,7 @@
 pub mod dump;
 mod event;
 pub mod flight;
+pub mod json;
 mod metrics;
 pub mod report;
 mod ring;

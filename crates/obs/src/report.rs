@@ -3,7 +3,13 @@
 //! The workspace builds offline with no serialization dependency, so
 //! reports are assembled with this writer instead. It produces one
 //! compact JSON object per call — suitable for JSON-lines files
-//! (`BENCH_*.jsonl`) that downstream tooling can ingest line by line.
+//! (`BENCH_*.jsonl`) that downstream tooling can ingest line by line,
+//! and that [`write_jsonl`] puts on disk. [`crate::json`] reads them
+//! back.
+
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
 use crate::event::{Event, Hook};
 use crate::metrics::{HistogramSnapshot, Metrics};
@@ -115,6 +121,15 @@ impl Default for JsonObject {
     }
 }
 
+/// Renders `s` as a quoted, escaped JSON string — for emitters that
+/// lay out their own documents (era-lint's SARIF) rather than build
+/// them with [`JsonObject`].
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
 fn push_json_string(buf: &mut String, s: &str) {
     buf.push('"');
     for c in s.chars() {
@@ -129,6 +144,25 @@ fn push_json_string(buf: &mut String, s: &str) {
         }
     }
     buf.push('"');
+}
+
+/// Writes `lines` to `path` (created or truncated), each followed by
+/// a newline — the JSON-lines file every `--report` flag produces.
+///
+/// # Errors
+///
+/// Propagates I/O errors from creating or writing `path`.
+pub fn write_jsonl<I>(path: &Path, lines: I) -> io::Result<()>
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    let mut w = BufWriter::new(File::create(path)?);
+    for line in lines {
+        w.write_all(line.as_ref().as_bytes())?;
+        w.write_all(b"\n")?;
+    }
+    w.flush()
 }
 
 /// Renders a histogram snapshot as a JSON object with total, coarse
@@ -218,5 +252,22 @@ mod tests {
     #[test]
     fn empty_object() {
         assert_eq!(JsonObject::new().finish(), "{}");
+    }
+
+    #[test]
+    fn json_string_quotes_and_escapes() {
+        assert_eq!(json_string("a\"b\r\u{1}"), "\"a\\\"b\\r\\u0001\"");
+    }
+
+    #[test]
+    fn write_jsonl_puts_one_line_per_record() {
+        let dir = std::env::temp_dir().join(format!("era-obs-jsonl-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.jsonl");
+        write_jsonl(&path, ["{\"a\":1}", "{}"]).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":1}\n{}\n");
+        write_jsonl(&path, Vec::<String>::new()).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "", "truncates");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,7 +19,8 @@ use std::path::PathBuf;
 
 use era_chaos::ChaosSmr;
 use era_kv::KvStore;
-use era_scenarios::report::{write_jsonl, ScenarioRunRecord};
+use era_obs::report::write_jsonl;
+use era_scenarios::report::ScenarioRunRecord;
 use era_scenarios::run::{kv_config, run_scenario, scheme_capacity, RunOptions};
 use era_scenarios::{campaign, ScenarioSpec};
 use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, nbr::Nbr, qsbr::Qsbr, Smr};
@@ -250,7 +251,7 @@ fn main() {
         opts.schemes.len()
     );
     if let Some(path) = &opts.report {
-        match write_jsonl(path, &records) {
+        match write_jsonl(path, records.iter().map(|r| &r.line)) {
             Ok(()) => println!("wrote {} record(s) to {}", records.len(), path.display()),
             Err(e) => {
                 eprintln!("failed to write report {}: {e}", path.display());

@@ -7,10 +7,6 @@
 //! shard's footprint curve, and the embedded spec — a record is
 //! enough to replay the run that produced it.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
-
 use era_obs::report::JsonObject;
 
 use crate::run::ScenarioOutcome;
@@ -103,19 +99,6 @@ impl ScenarioRunRecord {
     }
 }
 
-/// Writes records to `path`, one JSON line each.
-///
-/// # Errors
-///
-/// Any filesystem error.
-pub fn write_jsonl(path: &Path, records: &[ScenarioRunRecord]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    for r in records {
-        writeln!(w, "{}", r.line)?;
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,11 +181,11 @@ mod tests {
         let dir = std::env::temp_dir().join("era_scenarios_report_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("records.jsonl");
-        let recs = vec![
+        let recs = [
             ScenarioRunRecord::collect(&outcome(true)),
             ScenarioRunRecord::collect(&outcome(false)),
         ];
-        write_jsonl(&path, &recs).unwrap();
+        era_obs::report::write_jsonl(&path, recs.map(|r| r.line)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text

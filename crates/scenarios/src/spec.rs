@@ -4,19 +4,19 @@
 //! A [`ScenarioSpec`] follows the same replayability discipline as the
 //! chaos [`FaultPlan`]: plain data, generated or hand-written, emitted
 //! as one JSON line by the workspace's hand-rolled emitter
-//! ([`era_obs::report::JsonObject`]), and parsed back by a minimal
-//! byte parser — no serialization dependency. A campaign record embeds
+//! ([`era_obs::report::JsonObject`]), and read back by a typed reader
+//! over the workspace's one JSON parser ([`era_obs::json`]) — no
+//! serialization dependency. A campaign record embeds
 //! the spec verbatim, so every verdict can be regenerated from the
 //! record alone.
 //!
 //! Floats are deliberately absent from the wire format: the zipfian
 //! skew travels as basis points (`theta_bp`, 9900 = θ 0.99) so the
-//! parser stays integer-only and round-trips are byte-exact.
-
-use std::fmt;
+//! reader stays integer-only and round-trips are byte-exact.
 
 use era_chaos::FaultPlan;
 use era_kv::{KeyDist, KvMix};
+use era_obs::json::{Json, JsonError};
 use era_obs::report::JsonObject;
 
 /// One timeline segment of a scenario: a workload shape plus the
@@ -317,142 +317,10 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecParseError`] with a byte offset on malformed input or an
+    /// [`JsonError`] with a byte offset on malformed input, or at
+    /// byte 0 with [`ScenarioSpec::validate`]'s message for an
     /// inconsistent spec.
-    pub fn from_json(text: &str) -> Result<ScenarioSpec, SpecParseError> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        let spec = p.scenario()?;
-        p.ws();
-        if p.i != p.s.len() {
-            return Err(p.err("trailing input after scenario"));
-        }
-        spec.validate()
-            .map_err(|msg| SpecParseError { at: 0, msg })?;
-        Ok(spec)
-    }
-}
-
-/// A scenario failed to parse or validate: byte offset plus a static
-/// description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecParseError {
-    /// Byte offset into the JSON text (0 for validation failures).
-    pub at: usize,
-    /// What went wrong.
-    pub msg: &'static str,
-}
-
-impl fmt::Display for SpecParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "scenario parse error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for SpecParseError {}
-
-/// Minimal parser for exactly the shape [`ScenarioSpec::to_json`]
-/// emits (the chaos `FaultPlan` parser's sibling).
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &'static str) -> SpecParseError {
-        SpecParseError { at: self.i, msg }
-    }
-
-    fn ws(&mut self) {
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), SpecParseError> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err("unexpected character"))
-        }
-    }
-
-    /// Consumes either a comma (`true`) or `close` (`false`).
-    fn comma_or(&mut self, close: u8) -> Result<bool, SpecParseError> {
-        match self.peek() {
-            Some(b',') => {
-                self.i += 1;
-                Ok(true)
-            }
-            Some(b) if b == close => {
-                self.i += 1;
-                Ok(false)
-            }
-            _ => Err(self.err("expected ',' or a closing bracket")),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, SpecParseError> {
-        let start = self.i;
-        let mut v: u64 = 0;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            v = v
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(b - b'0')))
-                .ok_or(SpecParseError {
-                    at: self.i,
-                    msg: "integer overflow",
-                })?;
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(self.err("expected an unsigned integer"));
-        }
-        Ok(v)
-    }
-
-    fn bool(&mut self) -> Result<bool, SpecParseError> {
-        if self.s[self.i..].starts_with(b"true") {
-            self.i += 4;
-            Ok(true)
-        } else if self.s[self.i..].starts_with(b"false") {
-            self.i += 5;
-            Ok(false)
-        } else {
-            Err(self.err("expected a boolean"))
-        }
-    }
-
-    /// A plain string (spec strings never need escapes; reject them).
-    fn string(&mut self) -> Result<String, SpecParseError> {
-        self.eat(b'"')?;
-        let start = self.i;
-        loop {
-            match self.peek() {
-                Some(b'"') => break,
-                Some(b'\\') => return Err(self.err("escapes are not used in spec strings")),
-                Some(_) => self.i += 1,
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-        let out = std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|_| self.err("invalid utf-8"))?
-            .to_string();
-        self.i += 1;
-        Ok(out)
-    }
-
-    fn scenario(&mut self) -> Result<ScenarioSpec, SpecParseError> {
+    pub fn from_json(text: &str) -> Result<ScenarioSpec, JsonError> {
         let mut spec = ScenarioSpec {
             name: String::new(),
             seed: 0,
@@ -464,140 +332,99 @@ impl<'a> Parser<'a> {
             chaos: None,
             phases: Vec::new(),
         };
-        self.ws();
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(spec);
-        }
-        loop {
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
+        for (key, v) in Json::parse(text)?.as_object()? {
             match key.as_str() {
-                "name" => spec.name = self.string()?,
-                "seed" => spec.seed = self.u64()?,
-                "shards" => spec.shards = self.u64()? as usize,
-                "soft" => spec.soft = self.u64()? as usize,
-                "hard" => spec.hard = self.u64()? as usize,
-                "bound" => spec.bound = self.u64()? as usize,
-                "prefill" => spec.prefill = self.u64()? as usize,
-                "chaos" => spec.chaos = Some(self.chaos()?),
+                "name" => spec.name = v.as_str()?.to_string(),
+                "seed" => spec.seed = v.as_u64()?,
+                "shards" => spec.shards = usize_of(v)?,
+                "soft" => spec.soft = usize_of(v)?,
+                "hard" => spec.hard = usize_of(v)?,
+                "bound" => spec.bound = usize_of(v)?,
+                "prefill" => spec.prefill = usize_of(v)?,
+                "chaos" => spec.chaos = Some(chaos_from_json(v)?),
                 "phases" => {
-                    self.eat(b'[')?;
-                    self.ws();
-                    if self.peek() == Some(b']') {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            spec.phases.push(self.phase()?);
-                            self.ws();
-                            if !self.comma_or(b']')? {
-                                break;
-                            }
-                            self.ws();
-                        }
-                    }
+                    spec.phases = v
+                        .as_array()?
+                        .iter()
+                        .map(phase_from_json)
+                        .collect::<Result<_, _>>()?
                 }
-                _ => return Err(self.err("unknown scenario field")),
+                _ => return Err(v.err("unknown scenario field")),
             }
-            self.ws();
-            if !self.comma_or(b'}')? {
-                break;
-            }
-            self.ws();
         }
+        spec.validate().map_err(|msg| JsonError { at: 0, msg })?;
         Ok(spec)
     }
+}
 
-    fn chaos(&mut self) -> Result<ChaosSpec, SpecParseError> {
-        let mut c = ChaosSpec {
-            shard: 0,
-            seed: 0,
-            faults: 0,
-            at_phase: 0,
-        };
-        self.eat(b'{')?;
-        self.ws();
-        loop {
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            match key.as_str() {
-                "shard" => c.shard = self.u64()? as usize,
-                "seed" => c.seed = self.u64()?,
-                "faults" => c.faults = self.u64()? as usize,
-                "at_phase" => c.at_phase = self.u64()? as usize,
-                _ => return Err(self.err("unknown chaos field")),
-            }
-            self.ws();
-            if !self.comma_or(b'}')? {
-                break;
-            }
-            self.ws();
-        }
-        Ok(c)
-    }
+fn usize_of(v: &Json) -> Result<usize, JsonError> {
+    usize::try_from(v.as_u64()?).map_err(|_| v.err("integer overflow"))
+}
 
-    fn phase(&mut self) -> Result<PhaseSpec, SpecParseError> {
-        let mut ph = PhaseSpec {
-            label: String::new(),
-            reads: 0,
-            writes: 0,
-            removes: 0,
-            theta_bp: 0,
-            key_lo: 0,
-            key_hi: 0,
-            threads: 1,
-            ops_per_thread: 1,
-            stall_shard: None,
-            quarantine_shard: None,
-            navigator: true,
-            serve_net: false,
-            budgets: None,
-        };
-        let (mut soft, mut hard) = (None, None);
-        self.eat(b'{')?;
-        self.ws();
-        loop {
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            match key.as_str() {
-                "label" => ph.label = self.string()?,
-                "reads" => ph.reads = self.u64()? as u32,
-                "writes" => ph.writes = self.u64()? as u32,
-                "removes" => ph.removes = self.u64()? as u32,
-                "theta_bp" => ph.theta_bp = self.u64()?,
-                "key_lo" => ph.key_lo = self.u64()?,
-                "key_hi" => ph.key_hi = self.u64()?,
-                "threads" => ph.threads = self.u64()? as usize,
-                "ops_per_thread" => ph.ops_per_thread = self.u64()? as usize,
-                "stall_shard" => ph.stall_shard = Some(self.u64()? as usize),
-                "quarantine_shard" => ph.quarantine_shard = Some(self.u64()? as usize),
-                "navigator" => ph.navigator = self.bool()?,
-                "serve_net" => ph.serve_net = self.bool()?,
-                "soft" => soft = Some(self.u64()? as usize),
-                "hard" => hard = Some(self.u64()? as usize),
-                _ => return Err(self.err("unknown phase field")),
-            }
-            self.ws();
-            if !self.comma_or(b'}')? {
-                break;
-            }
-            self.ws();
+fn chaos_from_json(v: &Json) -> Result<ChaosSpec, JsonError> {
+    let mut c = ChaosSpec {
+        shard: 0,
+        seed: 0,
+        faults: 0,
+        at_phase: 0,
+    };
+    for (key, f) in v.as_object()? {
+        match key.as_str() {
+            "shard" => c.shard = usize_of(f)?,
+            "seed" => c.seed = f.as_u64()?,
+            "faults" => c.faults = usize_of(f)?,
+            "at_phase" => c.at_phase = usize_of(f)?,
+            _ => return Err(f.err("unknown chaos field")),
         }
-        match (soft, hard) {
-            (Some(s), Some(h)) => ph.budgets = Some((s, h)),
-            (None, None) => {}
-            _ => return Err(self.err("phase budget override needs both soft and hard")),
-        }
-        Ok(ph)
     }
+    Ok(c)
+}
+
+fn phase_from_json(v: &Json) -> Result<PhaseSpec, JsonError> {
+    let mut ph = PhaseSpec {
+        label: String::new(),
+        reads: 0,
+        writes: 0,
+        removes: 0,
+        theta_bp: 0,
+        key_lo: 0,
+        key_hi: 0,
+        threads: 1,
+        ops_per_thread: 1,
+        stall_shard: None,
+        quarantine_shard: None,
+        navigator: true,
+        serve_net: false,
+        budgets: None,
+    };
+    let percent = |f: &Json| u32::try_from(f.as_u64()?).map_err(|_| f.err("integer overflow"));
+    let (mut soft, mut hard) = (None, None);
+    for (key, f) in v.as_object()? {
+        match key.as_str() {
+            "label" => ph.label = f.as_str()?.to_string(),
+            "reads" => ph.reads = percent(f)?,
+            "writes" => ph.writes = percent(f)?,
+            "removes" => ph.removes = percent(f)?,
+            "theta_bp" => ph.theta_bp = f.as_u64()?,
+            "key_lo" => ph.key_lo = f.as_u64()?,
+            "key_hi" => ph.key_hi = f.as_u64()?,
+            "threads" => ph.threads = usize_of(f)?,
+            "ops_per_thread" => ph.ops_per_thread = usize_of(f)?,
+            "stall_shard" => ph.stall_shard = Some(usize_of(f)?),
+            "quarantine_shard" => ph.quarantine_shard = Some(usize_of(f)?),
+            "navigator" => ph.navigator = f.as_bool()?,
+            "serve_net" => ph.serve_net = f.as_bool()?,
+            "soft" => soft = Some(usize_of(f)?),
+            "hard" => hard = Some(usize_of(f)?),
+            _ => return Err(f.err("unknown phase field")),
+        }
+    }
+    ph.budgets = match (soft, hard) {
+        (Some(s), Some(h)) => Some((s, h)),
+        (None, None) => None,
+        _ => return Err(v.err("phase budget override needs both soft and hard")),
+    };
+    Ok(ph)
 }
 
 #[cfg(test)]
@@ -675,6 +502,54 @@ mod tests {
         ] {
             assert!(ScenarioSpec::from_json(bad).is_err(), "{bad:?} must fail");
         }
+    }
+
+    #[test]
+    fn json_keeps_full_range_u64_exact() {
+        let mut spec = sample();
+        spec.seed = u64::MAX;
+        spec.chaos = Some(ChaosSpec {
+            seed: u64::MAX,
+            ..spec.chaos.unwrap()
+        });
+        let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
+        assert_eq!(back.chaos.unwrap().seed, u64::MAX);
+        assert_eq!(back, spec);
+        let json = sample().to_json();
+        for bad in ["18446744073709551616", "-1", "1.5", "1e3"] {
+            let chaos_seed = json.replace("\"seed\":7", &format!("\"seed\":{bad}"));
+            assert_ne!(chaos_seed, json);
+            assert!(
+                ScenarioSpec::from_json(&chaos_seed).is_err(),
+                "{bad} must fail"
+            );
+            let key_hi = json.replacen("\"key_hi\":1024", &format!("\"key_hi\":{bad}"), 1);
+            assert!(ScenarioSpec::from_json(&key_hi).is_err(), "{bad} must fail");
+        }
+    }
+
+    #[test]
+    fn checked_in_spec_files_parse_validate_and_round_trip() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let spec = ScenarioSpec::from_json(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(spec.validate(), Ok(()), "{}", path.display());
+            let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
+            assert_eq!(back, spec, "{} must round-trip", path.display());
+            seen += 1;
+        }
+        assert!(
+            seen >= 2,
+            "expected the checked-in examples in {}",
+            dir.display()
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! presented side by side, never interleaved.
 
 use era_obs::dump::{FlightDump, SourceDump};
+use era_obs::json::Json;
 use era_obs::{Event, Hook, SchemeId};
 
 /// Renders one event as a human-readable timeline line (tolerating
@@ -785,35 +786,27 @@ pub struct ScenarioVerdict {
     pub failed: Vec<String>,
 }
 
-/// Extracts the string value of `"key":"…"` from a JSON line.
-///
-/// Values in scenario records are identifiers (scenario names, scheme
-/// names, invariant names) which the writer never escapes, so scanning
-/// to the closing quote is exact.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let at = line.find(&marker)? + marker.len();
-    let rest = &line[at..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
 /// Parses a campaign report into verdict rows, skipping blank lines
 /// and records of other kinds.
 ///
 /// # Errors
 ///
-/// When no scenario record is found at all (the file is probably not a
-/// `scenarios --report` output), or a scenario record is missing its
-/// verdict fields.
+/// When a non-blank line is not JSON, when no scenario record is found
+/// at all (the file is probably not a `scenarios --report` output), or
+/// when a scenario record is missing its verdict fields.
 pub fn scenario_verdicts(text: &str) -> Result<Vec<ScenarioVerdict>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() || !line.contains("\"record\":\"scenario\"") {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let rec = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        if str_of(&rec, "record") != Some("scenario") {
             continue;
         }
         let field = |key: &str| {
-            json_str_field(line, key)
+            str_of(&rec, key)
+                .map(str::to_string)
                 .ok_or_else(|| format!("line {}: scenario record lacks \"{key}\"", i + 1))
         };
         let scenario = field("scenario")?;
@@ -823,19 +816,13 @@ pub fn scenario_verdicts(text: &str) -> Result<Vec<ScenarioVerdict>, String> {
             "fail" => false,
             other => return Err(format!("line {}: unknown verdict `{other}`", i + 1)),
         };
-        // Failed invariants render as `{"name":"…","ok":false,…}`; walk
-        // each `"ok":false` back to the `"name"` that opened its object.
-        let mut failed = Vec::new();
-        let mut from = 0usize;
-        while let Some(rel) = line[from..].find("\"ok\":false") {
-            let at = from + rel;
-            if let Some(name_at) = line[..at].rfind("\"name\":\"") {
-                if let Some(name) = json_str_field(&line[name_at..at], "name") {
-                    failed.push(name);
-                }
-            }
-            from = at + "\"ok\":false".len();
-        }
+        let invariants = rec.get("invariants").and_then(|v| v.as_array().ok());
+        let failed = invariants
+            .unwrap_or_default()
+            .iter()
+            .filter(|inv| inv.get("ok").and_then(|ok| ok.as_bool().ok()) == Some(false))
+            .filter_map(|inv| str_of(inv, "name").map(str::to_string))
+            .collect();
         out.push(ScenarioVerdict {
             scenario,
             scheme,
@@ -847,6 +834,10 @@ pub fn scenario_verdicts(text: &str) -> Result<Vec<ScenarioVerdict>, String> {
         return Err("no scenario records found (expected `scenarios --report` JSON lines)".into());
     }
     Ok(out)
+}
+
+fn str_of<'a>(v: &'a Json, key: &str) -> Option<&'a str> {
+    v.get(key)?.as_str().ok()
 }
 
 /// Renders verdict rows as the table `era-view --verdicts` prints,
@@ -1114,6 +1105,43 @@ mod tests {
         assert!(table.contains("FAIL stalled-reader-blowout"), "{table}");
         assert!(table.contains("failed: bounded-footprint, healthy-at-end"));
         assert!(table.contains("2 run(s), 1 failure(s)"));
+    }
+
+    #[test]
+    fn scenario_verdicts_reads_spaced_records_as_json() {
+        // A compact pass record next to a fail record written with
+        // spaces after the colons: both are JSON, so the fail must
+        // surface with its failed invariant named.
+        let report = concat!(
+            r#"{"record":"scenario","scenario":"phase-shift","scheme":"EBR","verdict":"pass","#,
+            r#""invariants":[{"name":"recovers-after-drain","ok":true}]}"#,
+            "\n",
+            r#"{"record": "scenario", "scenario": "stalled-reader-blowout", "scheme": "HP", "#,
+            r#""verdict": "fail", "invariants": [{"name": "bounded-footprint", "ok": false}, "#,
+            r#"{"name": "healthy-at-end", "ok": true}]}"#,
+            "\n",
+        );
+        let rows = scenario_verdicts(report).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert!(!rows[1].pass);
+        assert_eq!(rows[1].failed, vec!["bounded-footprint"]);
+        let table = render_verdicts(&rows);
+        let fail_row = table.lines().find(|l| l.starts_with("FAIL")).unwrap();
+        assert!(fail_row.contains("stalled-reader-blowout"), "{table}");
+        assert!(fail_row.ends_with("failed: bounded-footprint"), "{table}");
+        assert!(table.contains("2 run(s), 1 failure(s)"));
+    }
+
+    #[test]
+    fn scenario_verdicts_names_a_line_that_is_not_json() {
+        let report = concat!(
+            r#"{"record":"scenario","scenario":"x","scheme":"EBR","verdict":"pass"}"#,
+            "\n\n",
+            r#"{"record":"scenario","verdict":"fail""#,
+            "\n",
+        );
+        let err = scenario_verdicts(report).unwrap_err();
+        assert!(err.starts_with("line 3: "), "{err}");
     }
 
     #[test]
